@@ -8,7 +8,11 @@
    request after the first warm-up hits the prepared-plan cache.  Each
    client thread owns one connection and issues its requests back to
    back; engine work is serialized by the store lock, so the numbers
-   measure protocol + dispatch + evaluation end to end. *)
+   measure protocol + dispatch + evaluation end to end.  The server runs
+   with incremental maintenance on, as coral_server does by default, so
+   a point read scans the maintained path/2 extent; the
+   [maintenance_off] arm repeats the workload against a server built
+   like [coral_server --no-maintain], where every read runs a fixpoint. *)
 
 let program =
   "module paths.\n\
@@ -19,7 +23,7 @@ let program =
 
 let nodes = 64
 
-let build_db () =
+let build_db ?(maintain = true) () =
   let db = Coral.create () in
   let rand = ref 123456789 in
   let next_rand bound =
@@ -31,6 +35,7 @@ let build_db () =
     Coral.fact db "edge" [ Coral.int i; Coral.int (next_rand nodes) ]
   done;
   Coral.consult_text db program;
+  Coral.Engine.set_maintenance (Coral.engine db) maintain;
   db
 
 let connect port =
@@ -116,6 +121,26 @@ let run_scaling port ~conns ~per_conn =
   let dt = Unix.gettimeofday () -. t0 in
   let rps = float_of_int (conns * per_conn) /. dt in
   rps, percentile lats 0.5, percentile lats 0.99
+
+(* The throughput workload and a one-connection latency pass against a
+   fresh server with maintenance off.  Returns (rps, p50_s, p99_s). *)
+let run_maintenance_off ~clients ~requests =
+  let db = build_db ~maintain:false () in
+  let srv = Coral_server.Server.start ~listen:(`Tcp ("127.0.0.1", 0)) db in
+  let port = Coral_server.Server.port srv in
+  let warm = connect port in
+  ignore (request warm "query path(0, Y)");
+  ignore (request warm "quit");
+  close_conn warm;
+  let t0 = Unix.gettimeofday () in
+  let threads =
+    List.init clients (fun id -> Thread.create (fun () -> client port requests id) ())
+  in
+  List.iter Thread.join threads;
+  let rps = float_of_int (clients * requests) /. (Unix.gettimeofday () -. t0) in
+  let _, p50, p99 = run_scaling port ~conns:1 ~per_conn:(max 50 (requests / 2)) in
+  Coral_server.Server.shutdown srv;
+  rps, p50, p99
 
 (* ------------------------------------------------------------------ *)
 (* Reader isolation: point-read p99 while a long fixpoint runs         *)
@@ -338,7 +363,7 @@ let run_mixed ~maintain ~clients ~seconds =
    only exists on the server path, so it shows up here and not in
    BENCH_core.json). *)
 let write_json path ~clients ~requests ~elapsed_s ~event_log:(off_s, on_s, noise_s) ~scaling
-    ~isolation:(base_p99, cont_p99, max_inflight)
+    ~maintenance_off:(off_rps, off_p50, off_p99) ~isolation:(base_p99, cont_p99, max_inflight)
     ~overload:(cap, drivers, (c_rps, c_busy, c_p99), (u_rps, u_busy, u_p99))
     ~maintenance:
       (m_readers, (m_upd, m_read, m_p99), (r_upd, r_read, r_p99)) =
@@ -365,6 +390,11 @@ let write_json path ~clients ~requests ~elapsed_s ~event_log:(off_s, on_s, noise
         (if i = List.length scaling - 1 then "" else ","))
     scaling;
   output_string oc "  ],\n";
+  (* the headline and read_scaling serve with maintenance on (the
+     shipped default); this arm is the same workload with it off *)
+  Printf.fprintf oc
+    "  \"maintenance_off\": {\"requests_per_second\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f},\n"
+    off_rps (off_p50 *. 1000.0) (off_p99 *. 1000.0);
   Printf.fprintf oc
     "  \"isolation\": {\"reader_p99_ms\": %.3f, \"reader_p99_under_long_fixpoint_ms\": %.3f, \
      \"p99_ratio\": %.2f, \"max_inflight\": %d},\n"
@@ -527,6 +557,10 @@ let () =
         conns, rps, p50, p99)
       [ 1; 2; 4 ]
   in
+  let maintenance_off = run_maintenance_off ~clients:!clients ~requests:!requests in
+  let off_rps, off_p50, off_p99 = maintenance_off in
+  Printf.printf "maintenance off: %.0f requests/second (1 connection: p50 %.2fms, p99 %.2fms)\n%!"
+    off_rps (off_p50 *. 1000.0) (off_p99 *. 1000.0);
   (* reader tail latency with and without a long fixpoint in flight *)
   let base_p99, _ = run_isolation port ~seconds:1.5 ~long:false in
   let cont_p99, max_inflight = run_isolation port ~seconds:1.5 ~long:true in
@@ -562,7 +596,8 @@ let () =
     "mixed (recompute-on-write): %.0f updates/s, %.0f reads/s, read p99 %.2fms\n%!" r_upd
     r_read (r_p99 *. 1000.0);
   write_json "BENCH_server.json" ~clients:!clients ~requests:!requests ~elapsed_s:dt
-    ~event_log:(dt_off, dt, noise_s) ~scaling ~isolation:(base_p99, cont_p99, max_inflight)
+    ~event_log:(dt_off, dt, noise_s) ~scaling ~maintenance_off
+    ~isolation:(base_p99, cont_p99, max_inflight)
     ~overload:(cap, drivers, capped, unbounded)
     ~maintenance:(m_readers, maintained, recompute);
   Printf.printf "wrote BENCH_server.json\n"

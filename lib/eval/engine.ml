@@ -124,6 +124,8 @@ let maintenance_info t =
   | Some m -> Some (Maintain.maintained_count m, Maintain.refreshes m)
   | None -> None
 
+let maintenance_storage t = Option.map Maintain.storage t.maint
+
 (* The maintained extent serving a derived predicate, if any: the
    frozen copy in a read view, else the live maintenance instance's
    (built on demand). *)
@@ -137,6 +139,8 @@ let extent_of t pred arity =
       Maintain.extent m pred arity
     | None -> None
   end
+
+let maintained_extent = extent_of
 
 (* Scoped plan invalidation: a base-fact update of predicate p only
    outdates derived state that (transitively) reads p, so only the
@@ -620,7 +624,8 @@ and module_call_relation t (m : Ast.module_) pred arity =
       i_clear = (fun () -> ());
       (* a scan runs a whole module evaluation against live engine
          state; there is no immutable view to capture *)
-      i_freeze = (fun () -> None)
+      i_freeze = (fun () -> None);
+      i_storage = (fun () -> Relation.no_storage)
     }
 
 (* Predicate resolution for compiled modules: another module's export
@@ -1177,7 +1182,8 @@ let snapshot t =
           match Relation.freeze rel with
           | Some fr -> Hashtbl.add exts k fr
           | None -> ())
-        (Maintain.extents m)
+        (Maintain.extents m);
+      Maintain.measure m
     | None -> ());
     let foreigns = Hashtbl.copy t.foreigns in
     (* reads must not mutate: the side-effecting update predicates of

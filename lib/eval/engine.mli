@@ -85,6 +85,17 @@ val maintenance_info : t -> (int * int) option
 (** [(maintained predicate count, full rebuilds so far)], [None] when
     maintenance is off. *)
 
+val maintenance_storage : t -> Relation.storage option
+(** The maintained extents' physical footprint, summed over extents,
+    as of the last update, rebuild or snapshot: live against stored
+    (tombstoned included) tuples, subsidiaries, and compactions so far.
+    [None] when maintenance is off.  Safe from any thread. *)
+
+val maintained_extent : t -> Symbol.t -> int -> Relation.t option
+(** The maintained extent serving a derived predicate ([None] for base
+    and fallback predicates), building the extents when stale.  Read
+    only: callers must not mutate it. *)
+
 val insert_facts : t -> (Symbol.t * Term.t array) list -> update_report
 (** Store ground facts and propagate them incrementally through the
     maintained extents (when maintenance is enabled).  Duplicates are

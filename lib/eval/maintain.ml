@@ -43,8 +43,12 @@ type t = {
   mutable by_body : (string, (prule * Term.t array * Ast.literal list) list) Hashtbl.t;
       (* body predicate key -> activations mentioning it *)
   mutable bad : (string * string) list;  (* fallback predicates + reason *)
+  mutable base_indexes : (Symbol.t * int * Index.spec) list;
+      (* indexes the joins want on base relations (see [join_indexes]) *)
   mutable is_stale : bool;
   mutable refresh_count : int;
+  mutable retired_compactions : int;  (* compactions of extents since replaced *)
+  mutable footprint : Relation.storage;  (* as of the last [measure] *)
 }
 
 let key name arity = name ^ "/" ^ string_of_int arity
@@ -57,8 +61,11 @@ let create src =
     rules = [];
     by_body = Hashtbl.create 16;
     bad = [];
+    base_indexes = [];
     is_stale = true;
-    refresh_count = 0
+    refresh_count = 0;
+    retired_compactions = 0;
+    footprint = Relation.no_storage
   }
 
 let invalidate t = t.is_stale <- true
@@ -70,6 +77,24 @@ let refreshes t = t.refresh_count
 let extent t pred arity = Hashtbl.find_opt t.exts (pred_key pred arity)
 
 let extents t = Hashtbl.fold (fun k rel acc -> (k, rel) :: acc) t.exts []
+
+(* The extents' footprint is summed on the write lane and published as
+   one immutable record, so metrics scrapes on other threads read it
+   without walking tables the writer is changing. *)
+let measure t =
+  t.footprint <-
+    Hashtbl.fold
+      (fun _ ext (acc : Relation.storage) ->
+        let s = Relation.storage ext in
+        { Relation.st_live = acc.st_live + s.st_live;
+          st_stored = acc.st_stored + s.st_stored;
+          st_subsidiaries = acc.st_subsidiaries + s.st_subsidiaries;
+          st_compactions = acc.st_compactions + s.st_compactions
+        })
+      t.exts
+      { Relation.no_storage with st_compactions = t.retired_compactions }
+
+let storage t = t.footprint
 
 (* ------------------------------------------------------------------ *)
 (* Program analysis: the maintainable class                            *)
@@ -196,6 +221,53 @@ let renumber_rule (r : Ast.rule) =
     head, body, nvars
   | [] -> assert false
 
+(* Index selection for the maintenance joins, keyed "name/arity": every
+   positive literal of every delta activation, full-body pass and
+   support check gets an index on the positions bound when
+   Pipeline.solve reaches it left to right (the rule compiled modules
+   apply, Index.select), and every exported query form an index on its
+   bound positions, so served point reads probe instead of scanning. *)
+let join_indexes prules modules =
+  let wanted = ref [] in
+  let want k = function
+    | Some spec ->
+      if not (List.exists (fun (k', s) -> k = k' && Index.spec_equal s spec) !wanted) then
+        wanted := (k, spec) :: !wanted
+    | None -> ()
+  in
+  let walk bound_vars lits =
+    let bound = Hashtbl.create 16 in
+    let bind ids = List.iter (fun id -> Hashtbl.replace bound id ()) ids in
+    bind bound_vars;
+    List.iter
+      (fun (lit : Ast.literal) ->
+        match lit with
+        | Ast.Pos a ->
+          let args = a.Ast.args in
+          want (atom_key a)
+            (Index.select ~arity:(Array.length args) (fun i ->
+                 List.for_all (Hashtbl.mem bound) (var_ids [ args.(i) ])));
+          bind (var_ids (Array.to_list args))
+        | Ast.Is (t1, t2) -> bind (var_ids [ t1; t2 ])
+        | Ast.Neg _ | Ast.Cmp _ -> ())
+      lits
+  in
+  List.iter
+    (fun pr ->
+      walk [] pr.pr_body;
+      walk (var_ids (Array.to_list pr.pr_hargs)) pr.pr_body;
+      List.iter (fun (_, pargs, rest) -> walk (var_ids (Array.to_list pargs)) rest) pr.pr_pos)
+    prules;
+  List.iter
+    (fun (m : Ast.module_) ->
+      List.iter
+        (fun (e : Ast.export) ->
+          want (pred_key e.Ast.epred e.Ast.arity)
+            (Index.select ~arity:e.Ast.arity (fun i -> e.Ast.adorn.(i) = Ast.Bound)))
+        m.Ast.exports)
+    modules;
+  List.rev !wanted
+
 (* Analyse the current program: partition derived predicates into
    maintained and fallback, and compile the maintained rules. *)
 let analyse t =
@@ -320,15 +392,40 @@ let analyse t =
         pr.pr_pos)
     prules;
   t.by_body <- by_body;
-  (* fresh extents for every maintained predicate *)
+  (* fresh, indexed extents for every maintained predicate *)
+  let indexes = join_indexes prules (t.src.src_modules ()) in
+  let specs_for k = List.filter_map (fun (k', s) -> if k = k' then Some s else None) indexes in
+  Hashtbl.iter
+    (fun _ ext ->
+      let s = Relation.storage ext in
+      t.retired_compactions <- t.retired_compactions + s.Relation.st_compactions)
+    t.exts;
   Hashtbl.reset t.exts;
   Hashtbl.iter
     (fun k () ->
       if not (Hashtbl.mem bad k) then begin
         let name, arity = split_key k in
-        Hashtbl.add t.exts k (Hash_relation.create ~name ~arity ())
+        Hashtbl.add t.exts k (Hash_relation.create ~indexes:(specs_for k) ~name ~arity ())
       end)
-    derived
+    derived;
+  t.base_indexes <-
+    List.filter_map
+      (fun (k, spec) ->
+        if Hashtbl.mem derived k then None
+        else
+          let name, arity = split_key k in
+          Some (Symbol.intern name, arity, spec))
+      indexes
+
+(* Base relations can be created or replaced after the analysis (the
+   first insert of a predicate creates its relation), so the wanted
+   indexes are (re)installed before every update; [Relation.add_index]
+   ignores a spec it already has. *)
+let install_base_indexes t =
+  List.iter
+    (fun (pred, arity, spec) ->
+      Option.iter (fun rel -> Relation.add_index rel spec) (t.src.src_relation pred arity))
+    t.base_indexes
 
 (* ------------------------------------------------------------------ *)
 (* Joins                                                               *)
@@ -398,6 +495,7 @@ let propagate t ~derived ~rounds (delta : (string * Term.t array) list) =
 
 let refresh t =
   analyse t;
+  install_base_indexes t;
   t.refresh_count <- t.refresh_count + 1;
   (* seed extents with the stored base facts of maintained predicates
      (a predicate can be derived by rules AND hold base facts) *)
@@ -432,7 +530,8 @@ let refresh t =
     t.rules;
   (* ... then semi-naive rounds on the derived deltas *)
   propagate t ~derived ~rounds !delta0;
-  t.is_stale <- false
+  t.is_stale <- false;
+  measure t
 
 let ensure t = if t.is_stale then refresh t
 
@@ -442,6 +541,7 @@ let ensure t = if t.is_stale then refresh t
 
 let insert t facts =
   ensure t;
+  install_base_indexes t;
   let derived = ref 0 and rounds = ref 0 in
   let delta =
     List.filter_map
@@ -456,6 +556,7 @@ let insert t facts =
       facts
   in
   propagate t ~derived ~rounds delta;
+  measure t;
   { u_derived = !derived; u_deleted = 0; u_rederived = 0; u_rounds = !rounds }
 
 (* ------------------------------------------------------------------ *)
@@ -485,6 +586,7 @@ let has_rule_support t hkey args =
 
 let retract t facts =
   ensure t;
+  install_base_indexes t;
   let removed = ref 0 and missing = ref 0 in
   let derived = ref 0 and deleted = ref 0 and rederived = ref 0 and rounds = ref 0 in
   (* the over-deletion set, per predicate key *)
@@ -601,6 +703,7 @@ let retract t facts =
       dacc;
     propagate t ~derived ~rounds !reborn
   end;
+  measure t;
   ( !removed,
     !missing,
     { u_derived = !derived;

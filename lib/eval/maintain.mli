@@ -80,6 +80,17 @@ val extent : t -> Symbol.t -> int -> Relation.t option
 val extents : t -> (string * Relation.t) list
 (** All maintained extents, keyed ["name/arity"] (snapshot freezing). *)
 
+val measure : t -> unit
+(** Re-read the extents' footprint for {!storage}.  Write lane only;
+    every update and rebuild does it, and the engine after freezing the
+    extents for a snapshot (which may compact or consolidate them). *)
+
+val storage : t -> Relation.storage
+(** The maintained extents' footprint as of the last {!measure}, summed:
+    live against stored (tombstoned included) tuples and subsidiaries,
+    and compactions over the instance's lifetime (rebuilt extents
+    included).  One immutable record: safe to read from any thread. *)
+
 val fallbacks : t -> (string * string) list
 (** Derived predicates that are {e not} maintained, with the reason —
     the per-predicate analogue of the distribution planner's

@@ -121,17 +121,9 @@ let auto_indexes rels body =
     (fun op ->
       (match op with
       | Scan { slot; args; _ } | Negcheck { slot; args } ->
-        let cols =
-          Array.to_list args
-          |> List.mapi (fun i arg ->
-                 let ground_or_bound =
-                   List.for_all (fun v -> Hashtbl.mem bound v) (vids_of [ arg ])
-                 in
-                 if ground_or_bound then Some i else None)
-          |> List.filter_map Fun.id
-        in
-        if cols <> [] && List.length cols < Array.length args then
-          Relation.add_index rels.(slot) (Index.Args cols)
+        let ground_or_bound i = List.for_all (Hashtbl.mem bound) (vids_of [ args.(i) ]) in
+        Option.iter (Relation.add_index rels.(slot))
+          (Index.select ~arity:(Array.length args) ground_or_bound)
       | Foreign _ | Negforeign _ | Compare _ | Assign _ -> ());
       List.iter (fun v -> Hashtbl.replace bound v ()) (binds_vars op))
     body

@@ -6,7 +6,18 @@ open Coral_term
    regardless of how many iterations have passed.  Index stores live on
    each subsidiary (the paper: "the indexing mechanisms are used on each
    subsidiary relation"); the duplicate table is relation-global since
-   duplicate checks always span all marks. *)
+   duplicate checks always span all marks.
+
+   Deletion tombstones tuples in place.  Once tombstones outnumber live
+   tuples the relation compacts, copy-on-compact: every subsidiary
+   holding a tombstone is rebuilt into fresh arrays and index stores,
+   and the duplicate buckets into fresh lists.  Nothing a scan or a
+   frozen view has captured is ever written, so pinned snapshot readers
+   keep scanning their old arrays.  Subsidiary boundaries survive a
+   compaction; on a relation nobody has taken a mark on (base relations,
+   maintained extents) they carry no meaning, and the subsidiaries that
+   [freeze] seals once per published epoch are consolidated so a probe
+   visits O(log n) of them however many epochs have passed. *)
 
 type sub = {
   mutable tuples : Tuple.t array;
@@ -19,16 +30,46 @@ type state = {
   mutable nsubs : int;
   mutable specs : Index.spec list;
   mutable live : int;
-  dups : (int, Tuple.t list ref) Hashtbl.t;
+  mutable stored : int;  (* tuples held by the subsidiaries, tombstones included *)
+  mutable marked : bool;  (* a caller took a mark: subsidiary boundaries are semantic *)
+  mutable compactions : int;
+  mutable dups : (int, Tuple.t list ref) Hashtbl.t;
   mutable nonground : Tuple.t list;
 }
+
+(* Tombstones tolerated before a compaction, on top of one per live
+   tuple: keeps tiny relations from rebuilding on every delete. *)
+let compact_slack = 32
 
 let dummy_tuple = Tuple.of_terms [||]
 
 let new_sub specs =
   { tuples = Array.make 8 dummy_tuple; n = 0; stores = List.map Index.create specs }
 
+(* A subsidiary holding exactly [tuples] (which it takes ownership of),
+   with freshly built index stores. *)
+let sub_of_tuples specs tuples =
+  let n = Array.length tuples in
+  let stores = List.map Index.create specs in
+  List.iter (fun store -> Array.iter (Index.insert store) tuples) stores;
+  { tuples = (if n = 0 then Array.make 8 dummy_tuple else tuples); n; stores }
+
+let live_tuples sub =
+  let out = ref [] in
+  for i = sub.n - 1 downto 0 do
+    let t = sub.tuples.(i) in
+    if not t.Tuple.dead then out := t :: !out
+  done;
+  Array.of_list !out
+
 let dummy_sub = { tuples = [||]; n = 0; stores = [] }
+
+let set_subs st subs =
+  let nsubs = List.length subs in
+  let arr = Array.make (max 4 (2 * nsubs)) dummy_sub in
+  List.iteri (fun i sub -> arr.(i) <- sub) subs;
+  st.subs <- arr;
+  st.nsubs <- nsubs
 
 let push_sub st =
   if st.nsubs >= Array.length st.subs then begin
@@ -39,7 +80,7 @@ let push_sub st =
   st.subs.(st.nsubs) <- new_sub st.specs;
   st.nsubs <- st.nsubs + 1
 
-let sub_append sub (tuple : Tuple.t) =
+let sub_append st sub (tuple : Tuple.t) =
   if sub.n >= Array.length sub.tuples then begin
     let bigger = Array.make (2 * Array.length sub.tuples) tuple in
     Array.blit sub.tuples 0 bigger 0 sub.n;
@@ -47,7 +88,68 @@ let sub_append sub (tuple : Tuple.t) =
   end;
   sub.tuples.(sub.n) <- tuple;
   sub.n <- sub.n + 1;
+  st.stored <- st.stored + 1;
   List.iter (fun store -> Index.insert store tuple) sub.stores
+
+let kill st (t : Tuple.t) =
+  Tuple.kill t;
+  st.live <- st.live - 1
+
+(* Merge the sealed subsidiaries of an unmarked relation, oldest first,
+   binary-counter style: a subsidiary is folded into the next older one
+   while it is at least half that one's size, and empty ones are
+   dropped.  Sizes then at least double from newest to oldest, so there
+   are O(log n) subsidiaries and each tuple is copied O(log n) times.
+   Merged subsidiaries are fresh (copy-on-compact) and keep only live
+   tuples, in scan order. *)
+let consolidate st =
+  if (not st.marked) && st.nsubs > 2 then begin
+    let changed = ref false in
+    let stack = ref [] in  (* newest first *)
+    for s = 0 to st.nsubs - 2 do
+      let sub = st.subs.(s) in
+      if sub.n = 0 then changed := true
+      else begin
+        stack := sub :: !stack;
+        let rec settle () =
+          match !stack with
+          | newer :: older :: rest when older.n <= 2 * newer.n ->
+            let merged =
+              sub_of_tuples st.specs (Array.append (live_tuples older) (live_tuples newer))
+            in
+            st.stored <- st.stored - older.n - newer.n + merged.n;
+            stack := (if merged.n = 0 then rest else merged :: rest);
+            changed := true;
+            settle ()
+          | _ -> ()
+        in
+        settle ()
+      end
+    done;
+    if !changed then set_subs st (List.rev (st.subs.(st.nsubs - 1) :: !stack))
+  end
+
+(* Drop every tombstone (see the comment at the top). *)
+let compact st =
+  for s = 0 to st.nsubs - 1 do
+    let sub = st.subs.(s) in
+    let keep = live_tuples sub in
+    if Array.length keep < sub.n then st.subs.(s) <- sub_of_tuples st.specs keep
+  done;
+  let dups = Hashtbl.create (Hashtbl.length st.dups) in
+  Hashtbl.iter
+    (fun h bucket ->
+      match List.filter (fun (t : Tuple.t) -> not t.Tuple.dead) !bucket with
+      | [] -> ()
+      | live -> Hashtbl.replace dups h (ref live))
+    st.dups;
+  st.dups <- dups;
+  st.nonground <- List.filter (fun (t : Tuple.t) -> not t.Tuple.dead) st.nonground;
+  st.stored <- st.live;
+  st.compactions <- st.compactions + 1;
+  consolidate st
+
+let maybe_compact st = if st.stored - st.live > max st.live compact_slack then compact st
 
 let is_duplicate st (tuple : Tuple.t) =
   (match Hashtbl.find_opt st.dups tuple.Tuple.hash with
@@ -63,10 +165,7 @@ let retire_subsumed st (tuple : Tuple.t) =
     let sub = st.subs.(s) in
     for i = 0 to sub.n - 1 do
       let ex = sub.tuples.(i) in
-      if (not ex.Tuple.dead) && Tuple.subsumes tuple ex then begin
-        Tuple.kill ex;
-        st.live <- st.live - 1
-      end
+      if (not ex.Tuple.dead) && Tuple.subsumes tuple ex then kill st ex
     done
   done
 
@@ -76,6 +175,9 @@ let create ?(indexes = []) ~name ~arity () =
       nsubs = 0;
       specs = indexes;
       live = 0;
+      stored = 0;
+      marked = false;
+      compactions = 0;
       dups = Hashtbl.create 256;
       nonground = []
     }
@@ -85,7 +187,7 @@ let create ?(indexes = []) ~name ~arity () =
     if dedup && is_duplicate st tuple then false
     else begin
       if dedup && not (Tuple.is_ground tuple) then retire_subsumed st tuple;
-      sub_append st.subs.(st.nsubs - 1) tuple;
+      sub_append st st.subs.(st.nsubs - 1) tuple;
       (match Hashtbl.find_opt st.dups tuple.Tuple.hash with
       | Some bucket -> bucket := tuple :: !bucket
       | None -> Hashtbl.add st.dups tuple.Tuple.hash (ref [ tuple ]));
@@ -128,29 +230,41 @@ let create ?(indexes = []) ~name ~arity () =
     done;
     Seq.filter (fun t -> not t.Tuple.dead) (List.fold_right Seq.append !parts Seq.empty)
   in
+  (* A ground pattern can only unify with an equal stored tuple, which
+     sits in its hash bucket of the duplicate table, or with a
+     non-ground one: those are all the candidates a point delete needs. *)
   let delete ~pattern pred =
     let count = ref 0 in
-    Seq.iter
-      (fun t ->
-        if pred t then begin
-          Tuple.kill t;
-          st.live <- st.live - 1;
-          incr count
-        end)
-      (scan ~from_mark:0 ~to_mark:(-1) ~pattern);
+    let consider t =
+      if (not t.Tuple.dead) && pred t then begin
+        kill st t;
+        incr count
+      end
+    in
+    let ground =
+      match pattern with
+      | Some (args, env) when Array.length args = arity ->
+        let probe = Tuple.make args env in
+        if Tuple.is_ground probe then Some probe else None
+      | _ -> None
+    in
+    (match ground with
+    | Some probe ->
+      Option.iter
+        (fun bucket -> List.iter consider !bucket)
+        (Hashtbl.find_opt st.dups probe.Tuple.hash);
+      List.iter consider st.nonground
+    | None -> Seq.iter consider (scan ~from_mark:0 ~to_mark:(-1) ~pattern));
+    maybe_compact st;
     !count
   in
   let impl =
     { Relation.i_insert = insert;
       i_delete = delete;
-      i_retire =
-        (fun t ->
-          if not t.Tuple.dead then begin
-            Tuple.kill t;
-            st.live <- st.live - 1
-          end);
+      i_retire = (fun t -> if not t.Tuple.dead then kill st t);
       i_mark =
         (fun () ->
+          st.marked <- true;
           push_sub st;
           st.nsubs - 1);
       i_marks = (fun () -> st.nsubs - 1);
@@ -175,16 +289,19 @@ let create ?(indexes = []) ~name ~arity () =
       i_freeze =
         (fun () ->
           (* Seal the open subsidiary (unless already empty) so every
-             captured array has reached its final extent; then capture
-             each sealed subsidiary's cells by VALUE — the tuples array,
-             its length, and the store list — because the live relation
-             may later grow new index stores or reallocate the subs
-             array, and a frozen reader must never chase those.  Sealed
-             tuple arrays are append-only up to the captured length and
-             never reallocated, so the capture is genuinely immutable
-             (tombstone flags excepted; see DESIGN.md on retraction
-             visibility). *)
+             captured array has reached its final extent, compact or
+             consolidate if due, then capture each sealed subsidiary's
+             cells by VALUE — the tuples array, its length, and the
+             store list — because the live relation may later grow new
+             index stores, reallocate the subs array, or replace a
+             subsidiary when it compacts, and a frozen reader must never
+             chase those.  Sealed tuple arrays are never appended to,
+             and compaction and consolidation copy instead of writing
+             them, so the capture is genuinely immutable (tombstone
+             flags excepted; see DESIGN.md on retraction visibility). *)
           if st.subs.(st.nsubs - 1).n > 0 then push_sub st;
+          maybe_compact st;
+          consolidate st;
           let nsealed = st.nsubs - 1 in
           let snaps =
             Array.init nsealed (fun s ->
@@ -211,8 +328,16 @@ let create ?(indexes = []) ~name ~arity () =
           st.nsubs <- 0;
           push_sub st;
           st.live <- 0;
-          Hashtbl.reset st.dups;
-          st.nonground <- [])
+          st.stored <- 0;
+          st.dups <- Hashtbl.create 256;
+          st.nonground <- []);
+      i_storage =
+        (fun () ->
+          { Relation.st_live = st.live;
+            st_stored = st.stored;
+            st_subsidiaries = st.nsubs;
+            st_compactions = st.compactions
+          })
     }
   in
   let r = Relation.v ~name ~arity impl in

@@ -19,6 +19,10 @@ let pp_spec ppf = function
 
 let spec_equal a b = spec_paths a = spec_paths b
 
+let select ~arity bound =
+  let cols = List.filter bound (List.init arity Fun.id) in
+  if cols <> [] && List.length cols < arity then Some (Args cols) else None
+
 type t = {
   paths : path list;
   buckets : (int, Tuple.t list ref) Hashtbl.t;

@@ -30,6 +30,14 @@ val spec_paths : spec -> path list
 val pp_spec : Format.formatter -> spec -> unit
 val spec_equal : spec -> spec -> bool
 
+val select : arity:int -> (int -> bool) -> spec option
+(** Index selection (paper section 4.2): [select ~arity bound] is an
+    argument-form index on the positions [bound] accepts, or [None]
+    when it accepts none of them (a probe is impossible) or all of them
+    (a full-key lookup, left to the duplicate table).  Compiled modules
+    apply it to the positions bound under left-to-right SIP; view
+    maintenance applies it to its joins and to export adornments. *)
+
 type t
 (** One index store, covering one subsidiary relation. *)
 

@@ -93,7 +93,14 @@ let create ~name ~arity () =
       i_clear =
         (fun () ->
           st.intervals <- [ [] ];
-          st.live <- 0)
+          st.live <- 0);
+      i_storage =
+        (fun () ->
+          { Relation.st_live = st.live;
+            st_stored = List.fold_left (fun n l -> n + List.length l) 0 st.intervals;
+            st_subsidiaries = List.length st.intervals;
+            st_compactions = 0
+          })
     }
   in
   let r = Relation.v ~name ~arity impl in

@@ -24,6 +24,14 @@ and impl = {
   i_mem : Tuple.t -> bool;
   i_clear : unit -> unit;
   i_freeze : unit -> frozen option;
+  i_storage : unit -> storage;
+}
+
+and storage = {
+  st_live : int;
+  st_stored : int;
+  st_subsidiaries : int;
+  st_compactions : int;
 }
 
 and stats = {
@@ -48,6 +56,9 @@ and frozen = {
 let g_inserts = ref 0
 let g_duplicates = ref 0
 let g_scans = ref 0
+
+let no_storage = { st_live = 0; st_stored = 0; st_subsidiaries = 0; st_compactions = 0 }
+let flat_storage n = { st_live = n; st_stored = n; st_subsidiaries = 1; st_compactions = 0 }
 
 let global_stats () = !g_inserts, !g_duplicates, !g_scans
 
@@ -112,6 +123,7 @@ let to_list r = List.of_seq (scan r ())
 let add_index r spec = r.impl.i_add_index spec
 let indexes r = r.impl.i_indexes ()
 let clear r = r.impl.i_clear ()
+let storage r = r.impl.i_storage ()
 
 (* A frozen view wrapped back into the uniform interface: evaluation
    scans it exactly like any other base relation.  Mark semantics mirror
@@ -140,7 +152,8 @@ let freeze r =
             if from_mark > 0 then Seq.empty else fz.f_scan ~pattern);
         i_mem = fz.f_mem;
         i_clear = (fun () -> read_only ());
-        i_freeze = (fun () -> Some fz)
+        i_freeze = (fun () -> Some fz);
+        i_storage = (fun () -> flat_storage fz.f_cardinal)
       }
     in
     let fr = v ~name:r.name ~arity:r.arity impl in

@@ -62,6 +62,19 @@ and impl = {
           {!freeze}); [None] when the implementation cannot snapshot
           (persistent relations, module-call relations).  Called only
           from the write lane, with no concurrent writer. *)
+  i_storage : unit -> storage;
+      (** Physical footprint, read only (see {!storage}). *)
+}
+
+(** How a relation's tuples are physically held.  Stores that tombstone
+    deletions keep dead tuples until they compact, so [st_stored] can
+    exceed [st_live]; [st_subsidiaries] counts mark-interval subsidiary
+    relations (sealed ones included). *)
+and storage = {
+  st_live : int;  (** live tuples, = {!cardinal} *)
+  st_stored : int;  (** tuples held, tombstoned ones included *)
+  st_subsidiaries : int;
+  st_compactions : int;  (** rebuilds that dropped tombstones *)
 }
 
 (** An immutable snapshot of a relation's contents at freeze time.
@@ -143,6 +156,20 @@ val to_list : t -> Tuple.t list
 val add_index : t -> Index.spec -> unit
 val indexes : t -> Index.spec list
 val clear : t -> unit
+
+val storage : t -> storage
+(** The physical footprint: live against stored tuples, subsidiaries,
+    compactions so far.  Read only; operators and tests use it to see
+    whether tombstones pile up. *)
+
+val no_storage : storage
+(** All zeros: nothing held. *)
+
+val flat_storage : int -> storage
+(** The footprint of a store with [n] live tuples, no tombstones and
+    one subsidiary: [i_storage] for implementations that delete in
+    place or hold no tuples of their own. *)
+
 val pp : Format.formatter -> t -> unit
 
 val global_stats : unit -> int * int * int

@@ -720,12 +720,17 @@ let do_explain_analyze t text =
     (fun dbv -> Coral.Engine.explain_analyze (Coral.engine dbv) text)
     text
 
+(* The maintained extents' footprint (zeros with maintenance off). *)
+let maintenance_storage eng =
+  Option.value ~default:Coral.Relation.no_storage (Coral.Engine.maintenance_storage eng)
+
 let do_stats t =
   let store = t.store in
   let eng = Coral.engine store.sdb in
   let c = Plan_cache.stats store.cache in
   let plan_hits, plan_misses = Coral.plan_cache_stats store.sdb in
   let derivations, duplicates, scans = Coral.Relation.global_stats () in
+  let mstore = maintenance_storage eng in
   (* dotted names are the stable interface ... *)
   let dotted =
     [ Printf.sprintf "server.requests=%d" (Atomic.get store.requests);
@@ -770,6 +775,10 @@ let do_stats t =
       Printf.sprintf "maintenance.deleted=%d" (Atomic.get store.maint_deleted);
       Printf.sprintf "maintenance.rederived=%d" (Atomic.get store.maint_rederived);
       Printf.sprintf "maintenance.fallback_updates=%d" (Atomic.get store.maint_fallback);
+      Printf.sprintf "maintenance.live_tuples=%d" mstore.Coral.Relation.st_live;
+      Printf.sprintf "maintenance.stored_tuples=%d" mstore.Coral.Relation.st_stored;
+      Printf.sprintf "maintenance.subsidiaries=%d" mstore.Coral.Relation.st_subsidiaries;
+      Printf.sprintf "maintenance.compactions=%d" mstore.Coral.Relation.st_compactions;
       Printf.sprintf "engine.derivations=%d" derivations;
       Printf.sprintf "engine.duplicates=%d" duplicates;
       Printf.sprintf "engine.scans=%d" scans
@@ -972,6 +981,16 @@ let metrics_text store =
     (Atomic.get store.maint_rederived);
   Obs.prometheus_sample buf ~kind:"counter" "maintenance.fallback_updates"
     (Atomic.get store.maint_fallback);
+  (* the extents' footprint: tombstones piling up show as stored
+     outgrowing live between compactions *)
+  let mstore = maintenance_storage eng in
+  Obs.prometheus_sample buf ~kind:"gauge" "maintenance.live_tuples" mstore.Coral.Relation.st_live;
+  Obs.prometheus_sample buf ~kind:"gauge" "maintenance.stored_tuples"
+    mstore.Coral.Relation.st_stored;
+  Obs.prometheus_sample buf ~kind:"gauge" "maintenance.subsidiaries"
+    mstore.Coral.Relation.st_subsidiaries;
+  Obs.prometheus_sample buf ~kind:"counter" "maintenance.compactions"
+    mstore.Coral.Relation.st_compactions;
   Buffer.add_string buf (Obs.prometheus ());
   Buffer.contents buf
 

@@ -241,7 +241,8 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
         (* scans do buffer-pool I/O (latches, evictions), so there is no
            lock-free immutable view to hand out; snapshot readers fall
            back to the locked lane for databases serving these *)
-        i_freeze = (fun () -> None)
+        i_freeze = (fun () -> None);
+        i_storage = (fun () -> Relation.flat_storage (Btree.cardinal uniq))
       }
   in
   let h = { files; wal; group = Wal.Group.create wal; rel; report } in

@@ -277,6 +277,110 @@ let test_maintenance_info () =
     | Some (_, r2) -> Alcotest.(check int) "no extra rebuild" refreshes r2
     | None -> Alcotest.fail "maintenance dropped")
 
+(* ------------------------------------------------------------------ *)
+(* Retract drift                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The serving layer's write lane: every commit is followed by a
+   snapshot.  DRed over-deletes the whole closure of a cyclic graph on
+   each retract, so without compaction tombstones pile up, and without
+   consolidation every snapshot leaves one more sealed subsidiary
+   behind for probes to visit.  Over 100 insert/retract cycles the
+   answers must match a from-scratch engine at every step, and the
+   physical footprint of the maintained extent and of [edge] must stay
+   bounded by their live size, independent of the cycle count. *)
+let ring_program =
+  {|
+module ring.
+export path(bf).
+export path(ff).
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- path(X, Z), edge(Z, Y).
+end_module.
+|}
+
+let test_retract_drift_bounded () =
+  let n = 12 in
+  (* a ring with a three-node tail hanging off node n - 1: chords out of
+     the tail's end change the answers, ring chords only the work *)
+  let base =
+    List.init n (fun i -> i, (i + 1) mod n) @ [ n - 1, n; n, n + 1; n + 1, n + 2 ]
+  in
+  let edge (a, b) = sym "edge", [| Term.int a; Term.int b |] in
+  let facts edges =
+    String.concat " " (List.map (fun (a, b) -> Printf.sprintf "edge(%d, %d)." a b) edges)
+  in
+  let e = Coral.create () in
+  Coral.consult_text e (facts base ^ "\n" ^ ring_program);
+  Coral.Engine.set_maintenance (eng e) true;
+  ignore (rows e "path(X, Y)");
+  (* the joins' bound positions and the bf export are indexed: a delta
+     edge(Z, Y) probes path on Z, a support check path(X, Y) probes
+     path on X, a delta path(X, Z) probes edge on Z *)
+  let indexed rel cols =
+    List.exists (Coral_rel.Index.spec_equal (Coral_rel.Index.Args cols))
+      (Coral_rel.Relation.indexes rel)
+  in
+  let path_ext = Option.get (Coral.Engine.maintained_extent (eng e) (sym "path") 2) in
+  let edge_rel = Option.get (Coral.Engine.relation_of (eng e) (sym "edge") 2) in
+  Alcotest.(check bool) "path indexed on 0" true (indexed path_ext [ 0 ]);
+  Alcotest.(check bool) "path indexed on 1" true (indexed path_ext [ 1 ]);
+  Alcotest.(check bool) "edge indexed on 0" true (indexed edge_rel [ 0 ]);
+  let refreshes () = Option.map snd (Coral.Engine.maintenance_info (eng e)) in
+  let refreshes0 = refreshes () in
+  let footprint what rel =
+    let s = Coral_rel.Relation.storage rel in
+    let stored = s.Coral_rel.Relation.st_stored and live = s.Coral_rel.Relation.st_live in
+    if stored > (2 * live) + 32 then
+      Alcotest.failf "%s: %d stored tuples for %d live" what stored live;
+    (* consolidated subsidiaries at least double in size from newest to
+       oldest: at most log2(stored) + 1 sealed ones plus the open one *)
+    let log2 x = int_of_float (Float.log2 (float_of_int (max x 1))) in
+    if s.Coral_rel.Relation.st_subsidiaries > log2 stored + 2 then
+      Alcotest.failf "%s: %d subsidiaries for %d stored tuples" what
+        s.Coral_rel.Relation.st_subsidiaries stored
+  in
+  let commit label edges =
+    (match Coral.Engine.snapshot (eng e) with
+    | None -> Alcotest.fail "no snapshot"
+    | Some view ->
+      let o = Coral.create () in
+      Coral.consult_text o (facts edges ^ "\n" ^ ring_program);
+      let expected = rows o "path(X, Y)" in
+      Alcotest.(check (list (list string))) (label ^ ": live") expected (rows e "path(X, Y)");
+      let reader = Coral.of_engine (Coral.Engine.read_view view) in
+      Alcotest.(check (list (list string))) (label ^ ": snapshot") expected
+        (rows reader "path(X, Y)");
+      Alcotest.(check (list (list string))) (label ^ ": point read")
+        (List.filter (fun r -> List.hd r = string_of_int n) expected
+        |> List.map (fun r -> List.tl r))
+        (rows reader (Printf.sprintf "path(%d, Y)" n)));
+    footprint (label ^ ": path extent")
+      (Option.get (Coral.Engine.maintained_extent (eng e) (sym "path") 2));
+    footprint (label ^ ": edge") (Option.get (Coral.Engine.relation_of (eng e) (sym "edge") 2))
+  in
+  for cycle = 1 to 100 do
+    let chord =
+      if cycle mod 2 = 0 then begin
+        let a = cycle mod n in
+        a, (a + 2 + (cycle mod (n - 3))) mod n
+      end
+      else n + 2, cycle mod n
+    in
+    let label = Printf.sprintf "cycle %d" cycle in
+    let rep = Coral.Engine.insert_facts (eng e) [ edge chord ] in
+    Alcotest.(check int) (label ^ ": inserted") 1 rep.Coral.Engine.ur_applied;
+    commit (label ^ " insert") (chord :: base);
+    let rep = Coral.Engine.retract_facts (eng e) [ edge chord ] in
+    Alcotest.(check int) (label ^ ": retracted") 1 rep.Coral.Engine.ur_applied;
+    commit (label ^ " retract") base
+  done;
+  Alcotest.(check (option int)) "incremental throughout: no rebuild" refreshes0 (refreshes ());
+  match Coral.Engine.maintenance_storage (eng e) with
+  | None -> Alcotest.fail "maintenance should be on"
+  | Some s ->
+    Alcotest.(check bool) "the extent compacted" true (s.Coral_rel.Relation.st_compactions > 0)
+
 let () =
   Alcotest.run "coral_maintain"
     [ ( "differential",
@@ -292,6 +396,7 @@ let () =
           Alcotest.test_case "retract rederives" `Quick test_retract_dred_rederives;
           Alcotest.test_case "missing accounting" `Quick test_retract_missing_accounting;
           Alcotest.test_case "fallback class" `Quick test_fallback_class;
-          Alcotest.test_case "maintenance info" `Quick test_maintenance_info
+          Alcotest.test_case "maintenance info" `Quick test_maintenance_info;
+          Alcotest.test_case "retract drift bounded" `Quick test_retract_drift_bounded
         ] )
     ]

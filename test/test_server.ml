@@ -1284,14 +1284,30 @@ let test_session_updates () =
     (stats_value s "maintenance.inserts");
   Alcotest.(check (option int)) "maintenance.retracts" (Some 1)
     (stats_value s "maintenance.retracts");
+  (* the extents' footprint: live tuples are the maintained answers,
+     the retract's tombstones are still stored (too few to compact) *)
+  let paths = List.length (Session.handle s (Protocol.Query "path(X, Y)")).Protocol.payload in
+  Alcotest.(check (option int)) "maintenance.live_tuples" (Some paths)
+    (stats_value s "maintenance.live_tuples");
+  Alcotest.(check bool) "maintenance.stored_tuples counts tombstones" true
+    (match stats_value s "maintenance.stored_tuples" with Some n -> n > paths | None -> false);
+  Alcotest.(check (option int)) "maintenance.compactions" (Some 0)
+    (stats_value s "maintenance.compactions");
+  Alcotest.(check bool) "maintenance.subsidiaries" true
+    (stats_value s "maintenance.subsidiaries" <> None);
   (* ... and the prometheus exposition *)
   let r = Session.handle s Protocol.Metrics in
-  Alcotest.(check bool) "coral_maintenance_retracts exposed" true
-    (List.exists
-       (function
-         | Protocol.Txt l -> String.starts_with ~prefix:"coral_maintenance_retracts" l
-         | _ -> false)
-       r.Protocol.payload);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " exposed") true
+        (List.exists
+           (function
+             | Protocol.Txt l -> String.starts_with ~prefix:name l
+             | _ -> false)
+           r.Protocol.payload))
+    [ "coral_maintenance_retracts"; "coral_maintenance_live_tuples";
+      "coral_maintenance_stored_tuples"; "coral_maintenance_compactions"
+    ];
   (* the event log recorded both updates with their split accounting *)
   let r = Session.handle s (Protocol.Events 20) in
   let logged what field =
