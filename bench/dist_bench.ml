@@ -11,7 +11,13 @@
    the 1-shard cluster must hold the whole closure on one worker and
    dies with err RESOURCE at the promote that crosses its budget,
    while 4 shards each hold ~1/4 of the partitioned closure and
-   complete — distribution buys headroom no single node has. *)
+   complete — distribution buys headroom no single node has.
+
+   Beside the shard arms runs the unbounded single-node arm: the same
+   program and EDB evaluated in-process, path(X, Y) with maintenance
+   off and no budget.  Each completed shard arm's fixpoint is reported
+   as a multiple of it, so the cost of distributing shows next to the
+   headroom it buys. *)
 
 module Session = Coral_server.Session
 module Server = Coral_server.Server
@@ -249,10 +255,37 @@ let run_scenario ~shards ~key ~budget ~nodes =
   out
 
 (* ------------------------------------------------------------------ *)
+(* Single-node arm                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let single_trials = 5
+
+(* Median wall time of the whole closure evaluated in-process, over
+   [single_trials] queries of one engine. *)
+let single_node_ms ~nodes =
+  let db = Coral.create () in
+  Coral.Engine.set_maintenance (Coral.engine db) false;
+  Coral.consult_text db program;
+  Coral.consult_text db (edges nodes);
+  let trial () =
+    let t0 = Unix.gettimeofday () in
+    let rows = Coral.query_rows db "path(X, Y)" in
+    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+    if List.length rows <> nodes * nodes then
+      failwith
+        (Printf.sprintf "single node: %d answers, expected %d" (List.length rows) (nodes * nodes));
+    ms
+  in
+  let times = List.sort compare (List.init single_trials (fun _ -> trial ())) in
+  List.nth times (single_trials / 2)
+
+(* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let write_json path ~nodes ~budget ~key outcomes =
+let ratio_to single o = if o.completed && single > 0. then Some (o.fixpoint_wall_ms /. single) else None
+
+let write_json path ~nodes ~budget ~key ~single outcomes =
   let oc = open_out path in
   output_string oc "{\n";
   output_string oc "  \"benchmark\": \"dist_tc\",\n";
@@ -261,6 +294,9 @@ let write_json path ~nodes ~budget ~key outcomes =
   Printf.fprintf oc "  \"closure_tuples\": %d,\n" (nodes * nodes);
   Printf.fprintf oc "  \"budget_per_worker\": %d,\n" budget;
   Printf.fprintf oc "  \"partition_key\": %d,\n" key;
+  Printf.fprintf oc
+    "  \"single_node\": { \"wall_ms\": %.2f, \"trials\": %d, \"answers\": %d },\n" single
+    single_trials (nodes * nodes);
   output_string oc "  \"scenarios\": [\n";
   List.iteri
     (fun i o ->
@@ -279,10 +315,11 @@ let write_json path ~nodes ~budget ~key outcomes =
         \      \"shipped_bytes\": %d, \"fixpoint_wall_ms\": %.1f,\n\
         \      \"skew_max\": %.2f, \"straggler_rounds\": %d,\n\
         \      \"round_series\": [%s],\n\
-        \      \"query_wall_s\": %.4f }%s\n"
+        \      \"query_wall_s\": %.4f, \"fixpoint_over_single_node\": %s }%s\n"
         o.shards o.completed o.error o.answers o.rounds o.new_tuples o.shipped_tuples
         o.shipped_bytes o.fixpoint_wall_ms o.skew_max o.straggler_rounds series
         o.query_wall_s
+        (match ratio_to single o with Some r -> Printf.sprintf "%.2f" r | None -> "null")
         (if i = List.length outcomes - 1 then "" else ","))
     outcomes;
   output_string oc "  ]\n}\n";
@@ -334,7 +371,16 @@ let () =
         o)
       [ 1; 2; 4 ]
   in
-  write_json "BENCH_dist.json" ~nodes:!nodes ~budget:!budget ~key:!key outcomes;
+  let single = single_node_ms ~nodes:!nodes in
+  Printf.printf "  single node (in-process, unbounded): %.1fms (median of %d)\n" single
+    single_trials;
+  List.iter
+    (fun o ->
+      Option.iter
+        (Printf.printf "  %d shard(s): fixpoint / single node = %.2fx\n" o.shards)
+        (ratio_to single o))
+    outcomes;
+  write_json "BENCH_dist.json" ~nodes:!nodes ~budget:!budget ~key:!key ~single outcomes;
   Printf.printf "wrote BENCH_dist.json\n";
   (* the acceptance claim: the workload does not fit one worker but
      does fit four *)

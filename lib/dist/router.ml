@@ -36,9 +36,23 @@
 open Coral_server
 module Obs = Coral_obs.Obs
 
+(* A fan-out's wake channel: a socket pair whose read end has a receive
+   timeout of one kill/deadline tick.  Each shard thread writes a byte
+   when it has filled its slot, so the waiter returns as soon as the
+   last shard answers instead of on the next tick.  The waiter and every
+   shard thread hold a reference — an abandoned thread can finish long
+   after its waiter gave up — and whoever lets go last closes both
+   descriptors, exactly once. *)
+type wake = {
+  w_read : Unix.file_descr;
+  w_write : Unix.file_descr;
+  w_refs : int Atomic.t;
+}
+
 type fanout = {
   slots : (Protocol.response, Protocol.error_code * string) result option array;
   threads : Thread.t list;
+  wake : wake;
 }
 
 type t = {
@@ -276,23 +290,56 @@ let shard_query addr ~timeout_ms text =
           Error (code, Printf.sprintf "%s: %s" addr msg)
         | None -> Error (Protocol.Proto, "unparseable reply from " ^ addr)))
 
+(* How long the waiter sleeps between kill and deadline checks when no
+   shard has answered. *)
+let wake_tick_s = 0.02
+
+let wake_create () =
+  let w_read, w_write = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float w_read Unix.SO_RCVTIMEO wake_tick_s;
+  { w_read; w_write; w_refs = Atomic.make 1 }
+
+let wake_release w =
+  if Atomic.fetch_and_add w.w_refs (-1) = 1 then begin
+    (try Unix.close w.w_read with Unix.Unix_error _ -> ());
+    try Unix.close w.w_write with Unix.Unix_error _ -> ()
+  end
+
+let wake_signal w = try ignore (Unix.write_substring w.w_write "!" 0 1) with Unix.Unix_error _ -> ()
+
+(* Block until some shard signals or a tick passes; either way the
+   caller re-checks.  Signals are bytes, so one sent before this call
+   is not lost. *)
+let wake_wait w =
+  let buf = Bytes.create 16 in
+  try ignore (Unix.read w.w_read buf 0 (Bytes.length buf))
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+
 let launch_fanout ~timeout_ms addrs text =
-  let n = List.length addrs in
-  let slots = Array.make n None in
-  let threads =
-    List.mapi
-      (fun i addr ->
-        Thread.create
-          (fun () ->
-            let r =
-              try shard_query addr ~timeout_ms text
-              with Shard_client.Down m -> Error (Protocol.Unavail, m)
-            in
-            slots.(i) <- Some r)
-          ())
-      addrs
+  let slots = Array.make (List.length addrs) None in
+  let wake = wake_create () in
+  (* a thread that never started never releases: do it for it *)
+  let start i addr =
+    Atomic.incr wake.w_refs;
+    try
+      Thread.create
+        (fun () ->
+          Fun.protect ~finally:(fun () -> wake_release wake) @@ fun () ->
+          let r =
+            try shard_query addr ~timeout_ms text
+            with Shard_client.Down m -> Error (Protocol.Unavail, m)
+          in
+          slots.(i) <- Some r;
+          wake_signal wake)
+        ()
+    with e ->
+      wake_release wake;
+      raise e
   in
-  { slots; threads }
+  try { slots; threads = List.mapi start addrs; wake }
+  with e ->
+    wake_release wake;
+    raise e
 
 (* Evaluate on the router's own replica — and notice when the query
    mutated it.  The assert/retract builtins ride ordinary queries (the
@@ -334,8 +381,9 @@ let fan_out t session text =
       let t0 = Unix.gettimeofday () in
       let t0_ns = Obs.now_ns () in
       let fo = launch_fanout ~timeout_ms (Coordinator.addrs t.coord) wire_text in
-      (* Poll rather than join: kill (and the local deadline) must be
-         able to abandon threads stuck on a wedged worker.  Abandoned
+      (* Wait on the wake channel rather than join: kill (and the local
+         deadline) must be able to abandon threads stuck on a wedged
+         worker, so both are re-checked on every tick.  Abandoned
          threads own their connections and close them on exit. *)
       let rec wait () =
         if Array.for_all Option.is_some fo.slots then `Done
@@ -344,11 +392,12 @@ let fan_out t session text =
           timeout_ms > 0 && (Unix.gettimeofday () -. t0) *. 1000. > float_of_int (timeout_ms + 200)
         then `Timeout
         else begin
-          Thread.delay 0.02;
+          wake_wait fo.wake;
           wait ()
         end
       in
-      (match wait () with
+      let outcome = Fun.protect ~finally:(fun () -> wake_release fo.wake) wait in
+      (match outcome with
       | `Killed -> Protocol.err Protocol.Killed "query killed by operator request"
       | `Timeout ->
         Protocol.err Protocol.Timeout

@@ -7,9 +7,12 @@
    sibling holding the tuples new in the last promote), and each
    global round evaluates rule bodies directly with [Engine.query] —
    Init rules against the replicated EDB, Linear rules with their one
-   derived body literal retargeted at the [@delta] relation.  Queries
-   arriving from the router then need nothing special: the answers are
-   sitting in base relations.
+   derived body literal retargeted at the [@delta] relation.  Those
+   bodies are built once, at [dprog], which also installs on their
+   relations the argument-form indexes maintenance's selection rule
+   ([Maintain.body_indexes]) picks, so a delta tuple probes the EDB
+   instead of scanning it.  Queries arriving from the router then need
+   nothing special: the answers are sitting in base relations.
 
    Concurrency contract: [barrier]/[dprog]/[dreset] arrive serialized
    on the coordinator's connection and take the store's write lane
@@ -23,6 +26,7 @@
 open Coral
 open Coral_server
 module Obs = Coral_obs.Obs
+module Maintain = Coral_eval.Maintain
 
 let delta_suffix = "@delta"
 
@@ -30,6 +34,22 @@ type config = {
   part : Partition.t;
   self : int;
   peers : Shard_client.t option array;  (* [None] at our own index *)
+}
+
+(* One rule as the barrier step runs it: Init rules in round 1 over
+   the replicated EDB, Linear rules in every later round with their
+   derived literal retargeted at its @delta sibling. *)
+type step_rule = {
+  rule : Ast.rule;
+  cls : Plan.rule_class;
+  head_name : string;
+  head_arity : int;
+  body : Ast.literal list;
+}
+
+type prog = {
+  analysis : Plan.analysis;
+  steps : step_rule list;
 }
 
 type t = {
@@ -40,7 +60,7 @@ type t = {
   budget : unit -> int;  (* max promoted tuples per fixpoint; 0 = none *)
   exchange : Exchange.t;
   mutable config : config option;
-  mutable prog : Plan.analysis option;
+  mutable prog : prog option;
   mutable derived_total : int;
   mutable shipped_total : int;
   mutable shipped_bytes : int;
@@ -109,18 +129,56 @@ let do_shard t ~index ~count ~key ~peer_addrs =
 let full_rel t name arity = Engine.base_relation t.eng (Symbol.intern name) arity
 let delta_rel t name arity = Engine.base_relation t.eng (Symbol.intern (name ^ delta_suffix)) arity
 
+(* Retarget the rule's one derived body literal at its @delta sibling,
+   in place, preserving literal order (and with it the planner's
+   binding propagation). *)
+let delta_body (r : Ast.rule) i =
+  List.mapi
+    (fun j lit ->
+      if j <> i then lit
+      else
+        match lit with
+        | Ast.Pos a ->
+          Ast.Pos { a with Ast.pred = Symbol.intern (Symbol.name a.Ast.pred ^ delta_suffix) }
+        | _ -> lit)
+    r.Ast.body
+
+let step_rule (d : Plan.drule) =
+  let head = Ast.atom_of_head d.Plan.rule.Ast.head in
+  { rule = d.Plan.rule;
+    cls = d.Plan.cls;
+    head_name = Symbol.name head.Ast.pred;
+    head_arity = Array.length head.Ast.args;
+    body =
+      (match d.Plan.cls with
+      | Plan.Init -> d.Plan.rule.Ast.body
+      | Plan.Linear i -> delta_body d.Plan.rule i)
+  }
+
 let do_dprog t text =
   match Plan.analyse_text text with
   | Plan.Local reason ->
     Protocol.err Protocol.Cluster ("program is not distributable: " ^ reason)
   | Plan.Distributable a ->
+    let steps = List.map step_rule a.Plan.drules in
     t.commit ~invalidate:true (fun () ->
         List.iter
           (fun (name, arity) ->
             ignore (full_rel t name arity);
             ignore (delta_rel t name arity))
           a.Plan.idb;
-        t.prog <- Some a);
+        (* Clearing keeps index specs, so these survive dreset and
+           every promote; a repeated dprog finds them already there. *)
+        List.iter
+          (fun s ->
+            List.iter
+              (fun ((atom : Ast.atom), spec) ->
+                Relation.add_index
+                  (Engine.base_relation t.eng atom.Ast.pred (Array.length atom.Ast.args))
+                  spec)
+              (Maintain.body_indexes ~bound:[] s.body))
+          steps;
+        t.prog <- Some { analysis = a; steps });
     Protocol.ok
       ~detail:
         (Printf.sprintf "rules=%d idb=%d" (List.length a.Plan.drules)
@@ -135,14 +193,14 @@ let do_delta t text =
   match t.config, t.prog with
   | None, _ | _, None ->
     Protocol.err Protocol.Cluster "delta before shard/dprog configuration"
-  | Some cfg, Some prog -> begin
+  | Some cfg, Some { analysis; _ } -> begin
     match Delta_codec.decode text with
     | Error m -> Protocol.err Protocol.Proto ("bad delta batch: " ^ m)
     | Ok atoms ->
       let check_item (a : Ast.atom) =
         let name = Symbol.name a.Ast.pred in
         let arity = Array.length a.Ast.args in
-        if not (List.mem (name, arity) prog.Plan.idb) then
+        if not (List.mem (name, arity) analysis.Plan.idb) then
           Error (Printf.sprintf "delta for non-derived predicate %s/%d" name arity)
         else begin
           let tuple = Tuple.of_terms a.Ast.args in
@@ -168,20 +226,6 @@ let do_delta t text =
 (* ------------------------------------------------------------------ *)
 (* Barrier step: one local round + delta shipping                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Retarget the rule's one derived body literal at its @delta sibling,
-   in place, preserving literal order (and with it the planner's
-   binding propagation). *)
-let delta_body (r : Ast.rule) i =
-  List.mapi
-    (fun j lit ->
-      if j <> i then lit
-      else
-        match lit with
-        | Ast.Pos a ->
-          Ast.Pos { a with Ast.pred = Symbol.intern (Symbol.name a.Ast.pred ^ delta_suffix) }
-        | _ -> lit)
-    r.Ast.body
 
 (* Instantiate the rule head under one answer row.  [Engine.query]
    renumbers variables but preserves their names, so the head's
@@ -242,28 +286,17 @@ let do_step t round =
     let seen = Hashtbl.create 64 in
     t.locked (fun () ->
         List.iter
-          (fun (d : Plan.drule) ->
-            let body =
-              match d.Plan.cls, round with
-              | Plan.Init, 1 -> Some d.Plan.rule.Ast.body
-              | Plan.Init, _ -> None
-              | Plan.Linear _, 1 -> None
-              | Plan.Linear i, _ -> Some (delta_body d.Plan.rule i)
-            in
-            match body with
-            | None -> ()
-            | Some body ->
-              let head = Ast.atom_of_head d.Plan.rule.Ast.head in
-              let name = Symbol.name head.Ast.pred in
-              let arity = Array.length head.Ast.args in
+          (fun s ->
+            if (s.cls = Plan.Init) = (round = 1) then begin
+              let name = s.head_name and arity = s.head_arity in
               let full = full_rel t name arity in
-              let res = Engine.query t.eng body in
+              let res = Engine.query t.eng s.body in
               List.iter
                 (fun tuple ->
                   if (not (Relation.mem full tuple)) && seen_add seen name tuple then begin
                     let owner = Partition.owner cfg.part tuple in
                     let item = { Exchange.pred = name; arity; tuple } in
-                    match d.Plan.cls with
+                    match s.cls with
                     | Plan.Init ->
                       (* every shard derives the same Init tuples from
                          the replicated EDB: keep ours, ship nothing *)
@@ -276,8 +309,9 @@ let do_step t round =
                       if owner = cfg.self then local := item :: !local
                       else outbound.(owner) <- item :: outbound.(owner)
                   end)
-                (head_tuples d.Plan.rule res))
-          prog.Plan.drules);
+                (head_tuples s.rule res)
+            end)
+          prog.steps);
     Exchange.add_local t.exchange (List.rev !local);
     t.derived_total <- t.derived_total + !derived;
     (* Ship each destination its batch and wait for the ack: when this
@@ -344,7 +378,7 @@ let do_promote t round =
     t.commit ~invalidate:true (fun () ->
         let items, recv = Exchange.drain t.exchange in
         received := recv;
-        List.iter (fun (name, arity) -> Relation.clear (delta_rel t name arity)) prog.Plan.idb;
+        List.iter (fun (name, arity) -> Relation.clear (delta_rel t name arity)) prog.analysis.Plan.idb;
         List.iter
           (fun item ->
             let full = full_rel t item.Exchange.pred item.Exchange.arity in

@@ -221,36 +221,45 @@ let renumber_rule (r : Ast.rule) =
     head, body, nvars
   | [] -> assert false
 
+(* The index each positive literal of a body wants when Pipeline.solve
+   runs it left to right from [bound] variable ids: an argument form on
+   the positions bound when the literal is reached (the rule compiled
+   modules apply, Index.select).  Literals with no such form (nothing
+   bound, or everything) are left out. *)
+let body_indexes ~bound:bound_vars lits =
+  let bound = Hashtbl.create 16 in
+  let bind ids = List.iter (fun id -> Hashtbl.replace bound id ()) ids in
+  bind bound_vars;
+  List.concat_map
+    (fun (lit : Ast.literal) ->
+      match lit with
+      | Ast.Pos a ->
+        let args = a.Ast.args in
+        let spec =
+          Index.select ~arity:(Array.length args) (fun i ->
+              List.for_all (Hashtbl.mem bound) (var_ids [ args.(i) ]))
+        in
+        bind (var_ids (Array.to_list args));
+        Option.fold ~none:[] ~some:(fun s -> [ a, s ]) spec
+      | Ast.Is (t1, t2) ->
+        bind (var_ids [ t1; t2 ]);
+        []
+      | Ast.Neg _ | Ast.Cmp _ -> [])
+    lits
+
 (* Index selection for the maintenance joins, keyed "name/arity": every
    positive literal of every delta activation, full-body pass and
-   support check gets an index on the positions bound when
-   Pipeline.solve reaches it left to right (the rule compiled modules
-   apply, Index.select), and every exported query form an index on its
-   bound positions, so served point reads probe instead of scanning. *)
+   support check gets its [body_indexes] form, and every exported query
+   form an index on its bound positions, so served point reads probe
+   instead of scanning. *)
 let join_indexes prules modules =
   let wanted = ref [] in
-  let want k = function
-    | Some spec ->
-      if not (List.exists (fun (k', s) -> k = k' && Index.spec_equal s spec) !wanted) then
-        wanted := (k, spec) :: !wanted
-    | None -> ()
+  let want k spec =
+    if not (List.exists (fun (k', s) -> k = k' && Index.spec_equal s spec) !wanted) then
+      wanted := (k, spec) :: !wanted
   in
-  let walk bound_vars lits =
-    let bound = Hashtbl.create 16 in
-    let bind ids = List.iter (fun id -> Hashtbl.replace bound id ()) ids in
-    bind bound_vars;
-    List.iter
-      (fun (lit : Ast.literal) ->
-        match lit with
-        | Ast.Pos a ->
-          let args = a.Ast.args in
-          want (atom_key a)
-            (Index.select ~arity:(Array.length args) (fun i ->
-                 List.for_all (Hashtbl.mem bound) (var_ids [ args.(i) ])));
-          bind (var_ids (Array.to_list args))
-        | Ast.Is (t1, t2) -> bind (var_ids [ t1; t2 ])
-        | Ast.Neg _ | Ast.Cmp _ -> ())
-      lits
+  let walk bound lits =
+    List.iter (fun (a, spec) -> want (atom_key a) spec) (body_indexes ~bound lits)
   in
   List.iter
     (fun pr ->
@@ -262,7 +271,8 @@ let join_indexes prules modules =
     (fun (m : Ast.module_) ->
       List.iter
         (fun (e : Ast.export) ->
-          want (pred_key e.Ast.epred e.Ast.arity)
+          Option.iter
+            (want (pred_key e.Ast.epred e.Ast.arity))
             (Index.select ~arity:e.Ast.arity (fun i -> e.Ast.adorn.(i) = Ast.Bound)))
         m.Ast.exports)
     modules;

@@ -72,6 +72,16 @@ val ensure : t -> unit
 (** Re-analyse the program and rebuild every extent from scratch when
     stale; otherwise a no-op. *)
 
+val body_indexes :
+  bound:int list -> Coral_lang.Ast.literal list -> (Coral_lang.Ast.atom * Index.spec) list
+(** Index selection for a rule body run left to right (paper section
+    4.2): for each positive literal, in body order, the argument-form
+    index {!Index.select} picks on the positions bound when the literal
+    is reached, starting from the variable ids in [bound].  Literals
+    with no usable form are left out.  The one selection rule for
+    interpreted joins: maintenance and the sharded fixpoint's worker
+    step both install what it returns. *)
+
 val extent : t -> Symbol.t -> int -> Relation.t option
 (** The maintained extent of a derived predicate ([None] for base
     predicates and fallback predicates).  Valid only after {!ensure};

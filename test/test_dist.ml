@@ -268,30 +268,79 @@ let start_worker_h () =
         (Admission.config (Session.admission store)).Admission.max_query_tuples)
   in
   Session.set_dist_handler store (Worker.handle worker);
-  path, srv, worker
+  path, srv, worker, db
 
 let start_worker () =
-  let path, srv, _ = start_worker_h () in
+  let path, srv, _, _ = start_worker_h () in
   path, srv
 
 type cluster = {
   router_path : string;
   router : Router.t;
   workers : (string * Server.t) list;
+  shard_dbs : (Worker.t * Coral.t) list;  (* in shard order *)
 }
 
 let start_cluster ~shards ~key () =
-  let workers = List.init shards (fun _ -> start_worker ()) in
+  let started = List.init shards (fun _ -> start_worker_h ()) in
+  let workers = List.map (fun (path, srv, _, _) -> path, srv) started in
   let rpath = sock_path () in
   let router =
     Router.start ~listen:(`Unix rpath) ~shard_addrs:(List.map fst workers) ~key
       (Coral.create ())
   in
-  { router_path = rpath; router; workers }
+  { router_path = rpath;
+    router;
+    workers;
+    shard_dbs = List.map (fun (_, _, w, db) -> w, db) started
+  }
 
+(* Full teardown, the workers' peer connections included. *)
 let stop_cluster cl =
   Router.shutdown cl.router;
+  List.iter (fun (w, _) -> Worker.disconnect w) cl.shard_dbs;
   List.iter (fun (_, srv) -> Server.shutdown srv) cl.workers
+
+(* Open descriptors of this process; [None] without procfs. *)
+let fd_count () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+(* Connection and fan-out threads unwind asynchronously after their
+   peer goes away: give them a moment before calling a descriptor
+   leaked. *)
+let check_fds_settle what baseline =
+  match baseline with
+  | None -> ()
+  | Some base ->
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    let rec settle () =
+      match fd_count () with
+      | Some n when n <= base -> ()
+      | Some n when Unix.gettimeofday () > deadline ->
+        Alcotest.failf "%s: %d descriptors open, baseline %d" what n base
+      | _ ->
+        Thread.delay 0.02;
+        settle ()
+    in
+    settle ()
+
+(* An integer [txt name=N] line from a [stats] reply. *)
+let stat_int c name =
+  let lines, _ = request c "stats" in
+  let prefix = "txt " ^ name ^ "=" in
+  match
+    List.find_map
+      (fun l ->
+        if String.starts_with ~prefix l then
+          int_of_string_opt
+            (String.sub l (String.length prefix) (String.length l - String.length prefix))
+        else None)
+      lines
+  with
+  | Some n -> n
+  | None -> Alcotest.failf "no %s stat" name
 
 (* sorted multiset of answer lines — merge order differs across
    configurations, content must not *)
@@ -503,19 +552,7 @@ let test_insert_resyncs () =
   Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
   let c = connect_unix cl.router_path in
   consult_all c texts;
-  let fixpoint_runs () =
-    let lines, _ = request c "stats" in
-    match
-      List.find_map
-        (fun l ->
-          if String.starts_with ~prefix:"txt router.fixpoint.runs=" l then
-            int_of_string_opt (String.sub l 25 (String.length l - 25))
-          else None)
-        lines
-    with
-    | Some n -> n
-    | None -> Alcotest.fail "no router.fixpoint.runs stat"
-  in
+  let fixpoint_runs () = stat_int c "router.fixpoint.runs" in
   Alcotest.(check int) "closure of the chain" 3 (List.length (answers c "path(X, Y)"));
   let r1 = fixpoint_runs () in
   let _, status = request c "insert edge(3, 4)." in
@@ -629,11 +666,10 @@ let test_non_worker_refuses_cluster () =
 (* Differential under a kill storm: a second session hammers ps/kill
    while the differential queries run.  A query either dies with a
    well-formed KILLED (and is retried) or returns the exact answer set
-   — never a partial one. *)
-let test_differential_under_kill () =
-  let texts = [ tc_program; tc_edges ~nodes:16 ~extra:8 23 ] in
-  let queries = [ "path(X, Y)"; "path(1, Y)" ] in
-  let expected = reference texts queries in
+   — never a partial one.  Killed fan-outs abandon their shard threads;
+   once those exit and the cluster is torn down, every descriptor —
+   each fan-out's wake channel included — is closed again. *)
+let kill_storm texts expected =
   let cl = start_cluster ~shards:2 ~key:1 () in
   Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
   let c = connect_unix cl.router_path in
@@ -692,6 +728,14 @@ let test_differential_under_kill () =
   Thread.join killer;
   ignore (request c "quit");
   close_client c
+
+let test_differential_under_kill () =
+  let texts = [ tc_program; tc_edges ~nodes:16 ~extra:8 23 ] in
+  let queries = [ "path(X, Y)"; "path(1, Y)" ] in
+  let expected = reference texts queries in
+  let baseline = fd_count () in
+  kill_storm texts expected;
+  check_fds_settle "descriptors after the kill storm" baseline
 
 (* A worker lost mid-flight: the query dies with one well-formed err,
    the router survives, and a replacement worker on the same address
@@ -771,6 +815,81 @@ let test_local_fallback () =
        lines);
   ignore (request c "quit");
   close_client c
+
+(* ------------------------------------------------------------------ *)
+(* Fan-out latency and the worker's step indexes                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A fan-out returns when its last shard answers.  Waiting out a fixed
+   20 ms tick per query would need at least 500 ms for these 25. *)
+let test_fanout_latency () =
+  (* the router's query counters count only with observability on *)
+  Coral_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Coral_obs.Obs.set_enabled false) @@ fun () ->
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c [ tc_program; tc_edges ~nodes:12 ~extra:6 7 ];
+  (* the first distributed query provisions the cluster *)
+  let want = answers c "path(1, Y)" in
+  let dist0 = stat_int c "router.queries.dist" in
+  let t0 = Unix.gettimeofday () in
+  let got = List.init 25 (fun _ -> answers c "path(1, Y)") in
+  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  List.iter (Alcotest.(check (list string)) "same answers every time" want) got;
+  Alcotest.(check int) "all 25 fanned out" (dist0 + 25) (stat_int c "router.queries.dist");
+  Alcotest.(check bool)
+    (Printf.sprintf "25 point queries in %.0f ms (< 250 ms)" elapsed_ms)
+    true (elapsed_ms < 250.);
+  ignore (request c "quit");
+  close_client c
+
+(* After provisioning, each worker's step relations carry the index
+   Index.select picks for the positions bound left to right: TC's
+   [edge] under path@delta(X, Z), edge(Z, Y); SG's [sg@delta] and
+   [down] under up(X, Z), sg@delta(Z, W), down(W, Y), and nothing on
+   [up], which runs with nothing bound.  A resync (dreset, re-ship,
+   dprog) keeps them. *)
+let test_worker_step_indexes () =
+  let arg0 = Option.get (Coral.Index.select ~arity:2 (fun i -> i = 0)) in
+  let specs db name =
+    match Coral.Engine.relation_of (Coral.engine db) (Coral.Symbol.intern name) 2 with
+    | Some rel -> Coral.Relation.indexes rel
+    | None -> Alcotest.failf "worker has no %s/2" name
+  in
+  let check_specs cl what expect =
+    List.iteri
+      (fun i (_, db) ->
+        List.iter
+          (fun (name, want) ->
+            let got = specs db name in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: shard %d %s indexes" what i name)
+              true
+              (List.length got = List.length want
+              && List.for_all2 Coral.Index.spec_equal got want))
+          expect)
+      cl.shard_dbs
+  in
+  let run ~program ~edb ~query ~update expect =
+    let cl = start_cluster ~shards:2 ~key:1 () in
+    Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+    let c = connect_unix cl.router_path in
+    consult_all c [ program; edb ];
+    ignore (answers c query);
+    check_specs cl "provisioned" expect;
+    let _, status = request c update in
+    check_prefix update "ok" status;
+    ignore (answers c query);
+    check_specs cl "resynced" expect;
+    ignore (request c "quit");
+    close_client c
+  in
+  run ~program:tc_program ~edb:(tc_edges ~nodes:8 ~extra:3 5) ~query:"path(X, Y)"
+    ~update:"insert edge(8, 1)." [ "edge", [ arg0 ] ];
+  run ~program:sg_program ~edb:(sg_edb ~parents:4 ~children:10 11) ~query:"sg(X, Y)"
+    ~update:"insert flat(0, 1)."
+    [ "sg@delta", [ arg0 ]; "down", [ arg0 ]; "up", [] ]
 
 (* ------------------------------------------------------------------ *)
 (* Cluster observability: trace ids, stitching, federation, skew       *)
@@ -965,8 +1084,8 @@ let test_federated_metrics () =
    run's skew roll-up, and as a dist.round event with the flag. *)
 let test_forced_straggler () =
   with_obs @@ fun () ->
-  let p0, s0, _ = start_worker_h () in
-  let p1, s1, slow = start_worker_h () in
+  let p0, s0, _, _ = start_worker_h () in
+  let p1, s1, slow, _ = start_worker_h () in
   Worker.set_fault_step_delay slow 0.05;
   let rpath = sock_path () in
   let router =
@@ -1050,7 +1169,9 @@ let () =
           Alcotest.test_case "worker crash: clean err, live router" `Quick
             test_worker_crash_unavail;
           Alcotest.test_case "non-distributable falls back locally" `Quick
-            test_local_fallback
+            test_local_fallback;
+          Alcotest.test_case "fan-out wakes on completion" `Quick test_fanout_latency;
+          Alcotest.test_case "worker step indexes" `Quick test_worker_step_indexes
         ] );
       ( "observability",
         [ Alcotest.test_case "tid= wire round-trip on a plain server" `Quick
